@@ -195,6 +195,48 @@ def _build_handler(
     return factory(rank, registry)
 
 
+#: Thread-count setters of the OpenBLAS builds numpy ships or links.
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _single_threaded_blas() -> None:
+    """Run the loaded BLAS on one thread in this process.
+
+    A worker is one locality on one core; a multithreaded BLAS inside each
+    of ``nprocs`` workers oversubscribes the cores and its spinning threads
+    stall every GEMM.  The thread count is read from the environment only
+    when the library loads (in the parent, before fork), so it is set
+    through the library's own setter.  Results do not depend on it.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {
+                line.split()[-1] for line in fh
+                if "blas" in line.lower() and ".so" in line
+            }
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
 def _worker_main(rank: int, factory: HandlerFactory, conn) -> None:  # noqa: ANN001
     """Child main loop: execute commands until told to stop.
 
@@ -204,6 +246,7 @@ def _worker_main(rank: int, factory: HandlerFactory, conn) -> None:  # noqa: ANN
     """
     registry = CounterRegistry()
     try:
+        _single_threaded_blas()
         link = WorkerLink(conn)
         handler = _build_handler(factory, rank, registry, link)
         while True:

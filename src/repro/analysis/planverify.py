@@ -20,6 +20,10 @@ in closed form before a single worker forks:
 * :func:`verify_fmm_split` — sharded M2L batches preserve the unsplit
   target/source order, keep CSR bounds consistent, and own pairwise
   disjoint target sets (``np.intersect1d`` on every shard pair);
+* :func:`verify_fmm_shards` — the near-field shards of the process
+  backend's gravity round: every near segment and every P2P edge
+  belongs to exactly one rank, in plan order, and each rank writes only
+  the accel/phi slots it owns;
 * :func:`verify_process_plan` — the executor-level bundle of the above.
 
 Checks are pure ``numpy`` set algebra over the live index arrays (the
@@ -45,7 +49,7 @@ from repro.octree.mesh import AmrMesh
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.comms.bundle import GhostBundlePlan
-    from repro.gravity.plan import FmmPlan
+    from repro.gravity.plan import FmmPlan, FmmShard
 
 
 @dataclass(frozen=True)
@@ -330,6 +334,143 @@ def verify_fmm_split(plan: "FmmPlan", max_rows: int) -> List[PlanViolation]:
             f"shard source segments ({split_src.size} row(s)) do not "
             f"reproduce the unsplit source order ({full_src.size})",
         ))
+    return out
+
+
+def verify_fmm_shards(
+    plan: "FmmPlan", shards: Sequence["FmmShard"], owner: np.ndarray
+) -> List[PlanViolation]:
+    """Near-field shards are an exact, owner-respecting cut of ``plan``.
+
+    Checked over the live shard arrays (what the workers will index):
+
+    * **writes** — each rank's targets are leaves it owns
+      (``owner[slot] == rank``), and across ranks every leaf slot is a
+      target exactly once: each accel/phi slot has one writer;
+    * **near segments** — every near target of the plan belongs to
+      exactly one rank, which owns it, and carries its complete per-octant
+      source segments and expansion-centre rows in plan order;
+    * **P2P edges** — every directed edge of every plan class belongs to
+      exactly one rank, which owns its target; within a rank the edges
+      keep plan order and their target/source/scale arrays match the plan;
+    * **blocks** — each rank's cache blocks tile its near targets in order.
+    """
+    out: List[PlanViolation] = []
+    owner = np.asarray(owner)
+    n_leaves = len(plan.leaf_keys)
+    written = np.zeros(n_leaves, dtype=np.int64)
+    near_seen = np.zeros(plan.near_tgt_slots.size, dtype=np.int64)
+    edge_seen = [np.zeros(c.tgt.size, dtype=np.int64) for c in plan.p2p_classes]
+    seg_counts = np.diff(plan.near_indptr)
+    for shard in shards:
+        r = shard.rank
+        tg = np.asarray(shard.targets)
+        if tg.size and (tg.min() < 0 or tg.max() >= n_leaves):
+            out.append(PlanViolation(
+                "fmm-shard-bounds",
+                f"rank {r} targets outside [0, {n_leaves})",
+            ))
+            continue
+        foreign = np.unique(tg[owner[tg] != r])
+        if foreign.size:
+            out.append(PlanViolation(
+                "fmm-shard-ownership",
+                f"rank {r} writes accel/phi of slot(s) "
+                f"{foreign.tolist()[:4]} owned by rank(s) "
+                f"{np.unique(owner[foreign]).tolist()[:4]}",
+            ))
+        np.add.at(written, tg, 1)
+
+        # Near segments: complete and in plan order for each target.
+        idx = np.asarray(shard.near_idx)
+        np.add.at(near_seen, idx, 1)
+        if not np.array_equal(tg[shard.near_local], plan.near_tgt_slots[idx]):
+            out.append(PlanViolation(
+                "fmm-shard-near",
+                f"rank {r} near targets do not match their plan slots",
+            ))
+        oct_sel = (8 * idx[:, None] + np.arange(8)).ravel()
+        rows = [
+            plan.near_rows[plan.near_indptr[8 * j]:plan.near_indptr[8 * j + 8]]
+            for j in idx
+        ]
+        expect_rows = np.concatenate(rows) if rows else np.empty(0, np.intp)
+        expect_ptr = np.concatenate([[0], np.cumsum(seg_counts[oct_sel])])
+        if not (
+            np.array_equal(shard.near_rows, expect_rows)
+            and np.array_equal(shard.near_indptr, expect_ptr)
+            and np.array_equal(
+                shard.near_center_rows, plan.near_center_rows[oct_sel]
+            )
+            and np.array_equal(shard.near_tgt_rows, plan.near_tgt_rows[idx])
+        ):
+            out.append(PlanViolation(
+                "fmm-shard-near",
+                f"rank {r} near segments differ from the plan's segments "
+                f"of its targets",
+            ))
+        stops = [b for _, b in shard.blocks]
+        starts = [a for a, _ in shard.blocks]
+        if idx.size and (
+            starts[:1] != [0] or stops[-1:] != [idx.size]
+            or starts[1:] != stops[:-1] or any(b <= a for a, b in shard.blocks)
+        ):
+            out.append(PlanViolation(
+                "fmm-shard-blocks",
+                f"rank {r} cache blocks do not tile its {idx.size} near "
+                f"target(s)",
+            ))
+
+        # P2P edges: owner-targeted, plan-ordered, consistent.
+        for ci, edges, cls in zip(shard.p2p_class, shard.p2p_edges, shard.p2p):
+            full = plan.p2p_classes[ci]
+            edges = np.asarray(edges)
+            np.add.at(edge_seen[ci], edges, 1)
+            if edges.size > 1 and np.any(np.diff(edges) <= 0):
+                out.append(PlanViolation(
+                    "fmm-shard-p2p-order",
+                    f"rank {r} class {full.key} edges out of plan order",
+                ))
+            wrong = np.unique(full.tgt[edges][owner[full.tgt[edges]] != r])
+            if wrong.size:
+                out.append(PlanViolation(
+                    "fmm-shard-p2p-owner",
+                    f"rank {r} class {full.key} edges target foreign "
+                    f"slot(s) {wrong.tolist()[:4]}",
+                ))
+            if not (
+                np.array_equal(tg[cls.tgt], full.tgt[edges])
+                and np.array_equal(shard.src_slots[cls.src], full.src[edges])
+                and np.array_equal(cls.inv_dx, full.inv_dx[edges])
+            ):
+                out.append(PlanViolation(
+                    "fmm-shard-p2p",
+                    f"rank {r} class {full.key} edge arrays differ from the "
+                    f"plan's",
+                ))
+
+    bad = np.flatnonzero(written != 1)
+    if bad.size:
+        out.append(PlanViolation(
+            "fmm-shard-overlap",
+            f"{bad.size} leaf slot(s) written by {sorted(set(written[bad].tolist()))} "
+            f"ranks instead of one (first: {int(bad[0])})",
+        ))
+    bad = np.flatnonzero(near_seen != 1)
+    if bad.size:
+        out.append(PlanViolation(
+            "fmm-shard-near-cover",
+            f"{bad.size} near target(s) not in exactly one shard "
+            f"(first: slot {int(plan.near_tgt_slots[bad[0]])})",
+        ))
+    for ci, seen in enumerate(edge_seen):
+        bad = np.flatnonzero(seen != 1)
+        if bad.size:
+            out.append(PlanViolation(
+                "fmm-shard-p2p-cover",
+                f"class {plan.p2p_classes[ci].key}: {bad.size} edge(s) not "
+                f"in exactly one shard",
+            ))
     return out
 
 

@@ -56,8 +56,9 @@ MODE_READ, MODE_WRITE, MODE_ACCUM = 0, 1, 2
 MODE_NAMES = {MODE_READ: _READ, MODE_WRITE: _WRITE, MODE_ACCUM: _ACCUM}
 
 #: Segment codes (event word 2): which shm arena the slot range indexes.
-SEG_FIELDS, SEG_ACCEL, SEG_FLUX = 0, 1, 2
-SEG_NAMES = {SEG_FIELDS: "fields", SEG_ACCEL: "accel", SEG_FLUX: "flux"}
+SEG_FIELDS, SEG_ACCEL, SEG_FLUX, SEG_PHI = 0, 1, 2, 3
+SEG_NAMES = {SEG_FIELDS: "fields", SEG_ACCEL: "accel", SEG_FLUX: "flux",
+             SEG_PHI: "phi"}
 
 #: Region codes (event word 5): which part of each leaf chunk is touched.
 #: ``ALL`` aliases both; ``INTERIOR`` and ``GHOST`` are disjoint — the

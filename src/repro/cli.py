@@ -15,6 +15,20 @@ import sys
 from typing import List, Optional
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -25,8 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="evolve a scenario with real physics")
     run.add_argument("--scenario", default="rotating_star",
                      choices=["rotating_star", "v1309", "dwd"])
-    run.add_argument("--level", type=int, default=2)
-    run.add_argument("--steps", type=int, default=3)
+    run.add_argument("--level", type=_positive_int, default=2)
+    run.add_argument("--steps", type=_non_negative_int, default=3)
     run.add_argument("--machine", default="Fugaku")
     run.add_argument("--nodes", type=int, default=4)
     run.add_argument("--checkpoint", default=None,
@@ -70,9 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", default="des", choices=["des", "process"],
                      help="execution backend: 'des' runs physics in-process "
                           "with discrete-event timing (default); 'process' "
-                          "fans hydro steps and the far-field M2L out over "
-                          "real worker processes with shared-memory arenas "
-                          "(identical bits, see docs/parallel.md)")
+                          "runs the hydro step and the FMM near field in one "
+                          "pool of real worker processes over shared-memory "
+                          "arenas (identical bits, see docs/parallel.md); "
+                          "it takes only --array-backend numpy")
     run.add_argument("--nprocs", type=int, default=2, metavar="N",
                      help="worker processes for --backend process")
     run.add_argument("--overlap", default=False,
@@ -293,10 +308,12 @@ def _command_crosscheck(args: argparse.Namespace) -> int:
         print(f"CROSSCHECK FAILED: {exc}", file=sys.stderr)
         return 1
     findings = 0
-    for name, r in zip(("blast", "dwd"), results):
+    for name, r in zip(("blast", "dwd", "dwd-level2"), results):
         findings += r.race_findings
         if args.tier is None:
-            print(f"{name}: {r.steps} steps x {r.leaves} leaves, "
+            fmm = (f", {r.m2l_pairs} far / {r.near_pairs} near FMM pairs"
+                   if name != "blast" else "")
+            print(f"{name}: {r.steps} steps x {r.leaves} leaves{fmm}, "
                   f"nprocs={r.nprocs}, serial {r.serial_s:.2f}s / "
                   f"process {r.process_s:.2f}s — bit-identical, "
                   f"{r.race_findings} race finding(s) over {r.race_events} "
@@ -391,7 +408,18 @@ def _command_manifest() -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if (
+        args.command == "run" and args.backend == "process"
+        and args.array_backend != "numpy"
+    ):
+        # The workers run the numpy kernels on shm arenas; a JIT or
+        # device backend has nothing to dispatch to there.
+        parser.error(
+            f"--array-backend {args.array_backend} cannot be combined with "
+            "--backend process (it takes only numpy)"
+        )
     if args.command == "run":
         return _command_run(args)
     if args.command == "crosscheck":

@@ -119,6 +119,11 @@ class CrosscheckResult:
     #: Worst per-field max-norm relative error seen across all steps
     #: (identically 0.0 for the bit-gated tiers).
     max_rel_err: float = 0.0
+    #: FMM interaction counts of the process side's last gravity solve
+    #: (0 without an FMM callback): a battery entry meant to exercise the
+    #: near-field M2L proves it did with ``near_pairs > 0``.
+    m2l_pairs: int = 0
+    near_pairs: int = 0
 
     @property
     def ok(self) -> bool:  # mismatches raise, so reaching a result is success
@@ -253,9 +258,10 @@ def crosscheck_hydro(
         gravity_every_stage=gravity_every_stage, reflux=reflux,
         plan_cache=cache_handle(),
     )
+    process_gravity = gravity() if gravity else None
     process = HydroIntegrator(
         mesh_process, eos=eos, omega=omega,
-        gravity=gravity() if gravity else None,
+        gravity=process_gravity,
         gravity_every_stage=gravity_every_stage, reflux=reflux,
         backend="process", nprocs=nprocs, wire=wire, overlap=overlap,
         detect_races=detect_races,
@@ -289,6 +295,8 @@ def crosscheck_hydro(
         race_events = detector.events_seen if detector else 0
     finally:
         process.close()
+    solver = getattr(process_gravity, "fmm_solver", None)
+    stats = solver.last_stats if solver is not None else None
     return CrosscheckResult(
         steps=steps,
         leaves=len(mesh_serial.leaves()),
@@ -298,6 +306,8 @@ def crosscheck_hydro(
         process_s=process_s,
         race_findings=race_findings,
         race_events=race_events,
+        m2l_pairs=stats.m2l_pairs if stats else 0,
+        near_pairs=stats.near_pairs if stats else 0,
     )
 
 
@@ -406,7 +416,9 @@ def crosscheck_scenarios(
     plan_cache=None,  # PlanCache | str | Path | None
 ) -> List[CrosscheckResult]:
     """The CI smoke battery: blast (adaptive, reflux) and a rotating DWD
-    (gravity via FMM), cross-checked per tier.
+    (gravity via FMM), cross-checked per tier.  The process tier adds a
+    level-2 DWD, whose FMM has far and near pairs: the level-1 DWD has
+    neither, so without it no cross-check would execute an M2L.
 
     ``tier=None`` runs the original DES-vs-process bit check; ``"exact"``
     pins seed vs numpy-dispatch to identical bits; ``"tolerance"`` bounds
@@ -432,13 +444,20 @@ def crosscheck_scenarios(
         def gravity_factory() -> GravityCallback:
             return FmmSolver(empty_mass_threshold=1e-12).as_gravity_callback()
 
-        results.append(
-            crosscheck_hydro(
-                dwd.mesh, steps=steps, nprocs=nprocs, eos=dwd.eos,
-                omega=dwd.omega, gravity=gravity_factory, wire=wire,
-                overlap=overlap, plan_cache=plan_cache,
+        for scenario in (dwd, dwd_scenario(level=2, scf_grid=24)):
+            results.append(
+                crosscheck_hydro(
+                    scenario.mesh, steps=steps, nprocs=nprocs,
+                    eos=scenario.eos, omega=scenario.omega,
+                    gravity=gravity_factory, wire=wire, overlap=overlap,
+                    plan_cache=plan_cache,
+                )
             )
-        )
+        if results[-1].near_pairs == 0:
+            raise RuntimeError(
+                "the near-field battery mesh has no near pairs; the "
+                "cross-check would not execute the near-field M2L"
+            )
         return results
 
     backend_name = "numpy" if tier == "exact" else jit_backend_name()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +41,12 @@ from repro.resilience.faults import FaultSpec
 from repro.resilience.protocol import RetryPolicy, UnrecoverableFault
 from repro.resilience.watchdog import DeadlockError
 from repro.scenarios.spec import ScenarioSpec, workload_from_mesh
+
+
+def _same_key(a: Tuple[Any, Any, Any], b: Tuple[Any, Any, Any]) -> bool:
+    """Step-model memo keys match: the same spec object (specs are cached
+    per topology) and equal config and constants."""
+    return a[0] is b[0] and a[1] == b[1] and a[2] == b[2]
 
 
 @dataclass
@@ -108,8 +114,8 @@ class OctoTigerSim:
         #: JIT backends ("numba"/"pyjit") swap in the compiled kernel set.
         self.array_backend = array_backend
         #: "des": physics in-process, timing on the virtual clock (default).
-        #: "process": hydro steps and the far-field M2L fan out over real
-        #: worker processes (:mod:`repro.amt.parallel`), bit-identical.
+        #: "process": hydro steps and the FMM near field run in one pool of
+        #: real worker processes (:mod:`repro.amt.parallel`), bit-identical.
         self.backend = backend
         self.nprocs = nprocs
         #: Process backend only: futurized interior/halo schedule — ghost
@@ -172,9 +178,6 @@ class OctoTigerSim:
                 order=gravity_order,
                 empty_mass_threshold=empty_mass_threshold,
                 m2l_split=m2l_split,
-                backend=backend,
-                nprocs=nprocs,
-                overlap=overlap,
                 verify_plans=verify_plans,
                 array_backend=array_backend,
                 plan_cache=self.plan_cache,
@@ -204,15 +207,17 @@ class OctoTigerSim:
         self.integrator.registry = self.counters
         sfc_partition(mesh, self.config.nodes)
         self._spec: Optional[ScenarioSpec] = None
+        #: The last fault-free virtual step and the (spec, config,
+        #: constants) it was computed for — the step model is a pure
+        #: function of those three (see :meth:`_virtual_timing`).
+        self._timing: Optional[Tuple[Any, TaskGraphResult]] = None
         self.records: List[StepRecord] = []
         self.last_phi: Optional[Dict[NodeKey, np.ndarray]] = None
 
     def close(self) -> None:
-        """Shut down process-backend worker pools and shm arenas (no-op on
-        the DES backend)."""
+        """Shut down the process-backend worker pool and shm arenas (no-op
+        on the DES backend)."""
         self.integrator.close()
-        if self.gravity_solver is not None:
-            self.gravity_solver.close()
 
     # -- configuration --------------------------------------------------------
     @classmethod
@@ -319,6 +324,7 @@ class OctoTigerSim:
     def invalidate_workload(self) -> None:
         """Call after refinement changes the mesh structure."""
         self._spec = None
+        self._timing = None
         sfc_partition(self.mesh, self.config.nodes)
 
     def regrid(self, criterion, max_level: int):  # noqa: ANN001, ANN201
@@ -467,6 +473,7 @@ class OctoTigerSim:
         self.integrator = restored
         sfc_partition(mesh, self.config.nodes)
         self._spec = None
+        self._timing = None
         self.records = [r for r in self.records if r.step <= restored.steps_taken]
         # The crashed node came back with the restart: heal the crash fault
         # so the replay is not wedged by the same injection, and reseed the
@@ -482,7 +489,20 @@ class OctoTigerSim:
         return self.faults
 
     def _virtual_timing(self) -> TaskGraphResult:
+        """The modeled step on the virtual machine.
+
+        Without faults or sanitizing the result depends only on the
+        workload spec (cached per topology), the run config and the model
+        constants, so it is computed once per topology and reused; faults
+        draw a fresh stream every step and sanitizing collects findings
+        per run, so both always rerun the simulator.
+        """
         faults = self._effective_faults()
+        memo = faults is None and not self.sanitize
+        if memo:
+            key = (self.spec, self.config, self.constants)
+            if self._timing is not None and _same_key(self._timing[0], key):
+                return self._timing[1]
         simulator = TaskGraphSimulator(
             self.spec,
             self.config,
@@ -506,6 +526,8 @@ class OctoTigerSim:
                 self.counters.increment("sanitize.tasks_checked", detector.tasks_checked)
         finally:
             self._harvest_resilience_counters(simulator)
+        if memo:
+            self._timing = (key, result)
         return result
 
     def _harvest_resilience_counters(self, simulator: TaskGraphSimulator) -> None:

@@ -24,19 +24,27 @@ P2P geometry-class templates — lives in a cached
 :class:`~repro.gravity.plan.FmmPlan`, keyed on
 ``AmrMesh.topology_version`` so it invalidates automatically after a
 regrid.  :meth:`FmmSolver.solve` is the batched execute phase: stacked
-P2M/M2M moments, a few segmented M2L calls per level, vectorised
-L2L/L2P, and two GEMMs per P2P geometry class.  It is numerically
-equivalent (to ~1e-13 relative) to :meth:`FmmSolver.solve_reference`,
-the retained per-node reference implementation, and produces identical
+P2M/M2M moments, a few segmented M2L calls per level and vectorised L2L
+(the tree phases, producing a :class:`FarField`), then the near-field
+phase :func:`evaluate_shard` — far L2P, cache-blocked octant M2L with its
+near L2P, and fixed-width GEMM chunks per P2P geometry class — over a
+:class:`~repro.gravity.plan.FmmShard` of target leaves.  In-process that
+is one shard holding every leaf; the process backend runs one shard per
+worker (see ``docs/parallel.md``).  It is numerically equivalent (to
+~1e-13 relative) to :meth:`FmmSolver.solve_reference`, the retained
+per-node reference implementation, and produces identical
 :class:`FmmStats`.  Per-phase wall times are reported through
-:mod:`repro.profiling` under ``fmm.plan``, ``fmm.p2m_m2m``, ``fmm.m2l``,
-``fmm.l2p`` and ``fmm.p2p``.
+:mod:`repro.profiling` under ``fmm.solve``, ``fmm.plan``,
+``fmm.p2m_m2m``, ``fmm.m2l`` (split into ``fmm.m2l.far`` and
+``fmm.m2l.near``), ``fmm.l2p`` and ``fmm.p2p``.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # import cycle: repro.core.__init__ pulls in the driver
     from repro.core.plancache import PlanCache
@@ -59,6 +67,7 @@ from repro.gravity.multipole import (
 from repro.gravity.pairwise import p2p_apply_class, pairwise_accumulate
 from repro.gravity.plan import (
     FmmPlan,
+    FmmShard,
     PairState,
     build_plan,
     count_m2l_by_level,
@@ -100,6 +109,145 @@ class FmmResult:
     stats: FmmStats
 
 
+#: Far-field state per leaf (4 local tensors + expansion centre) and per
+#: octant-participant leaf (4 moment tensors for each of its 8 octants).
+_LEAF_FLOATS = 1 + 3 + 9 + 27 + 3
+_PART_FLOATS = 8 * (1 + 3 + 9 + 27)
+#: Upper bound of far-field floats per leaf slot (every leaf a participant).
+FAR_FLOATS_PER_LEAF = _LEAF_FLOATS + _PART_FLOATS
+
+
+@dataclass
+class FarField:
+    """What the tree phases hand the near-field phase.
+
+    Per leaf slot (plan order): the local expansion ``l0..l3`` after L2L
+    and its centre ``com``.  Per octant row (participant ``p``, octant
+    ``o`` at row ``8 p + o``): the octant sub-moments ``om/oc/oq/oo``.
+    All views of one flat float buffer (:meth:`on`), so a process pool
+    can keep it in a small shm arena its workers already map.
+    """
+
+    l0: np.ndarray
+    l1: np.ndarray
+    l2: np.ndarray
+    l3: np.ndarray
+    com: np.ndarray
+    om: np.ndarray
+    oc: np.ndarray
+    oq: np.ndarray
+    oo: np.ndarray
+
+    @staticmethod
+    def floats(n_leaves: int, n_part: int) -> int:
+        return _LEAF_FLOATS * n_leaves + _PART_FLOATS * n_part
+
+    @classmethod
+    def on(cls, flat: np.ndarray, n_leaves: int, n_part: int) -> "FarField":
+        """Views of ``flat`` laid out for ``n_leaves`` / ``n_part``."""
+        rows = 8 * n_part
+        shapes = (
+            (n_leaves,), (n_leaves, 3), (n_leaves, 3, 3), (n_leaves, 3, 3, 3),
+            (n_leaves, 3),
+            (rows,), (rows, 3), (rows, 3, 3), (rows, 3, 3, 3),
+        )
+        views = []
+        offset = 0
+        for shape in shapes:
+            size = int(np.prod(shape))
+            views.append(flat[offset:offset + size].reshape(shape))
+            offset += size
+        return cls(*views)
+
+
+def evaluate_shard(
+    shard: FmmShard,
+    far: FarField,
+    mass_src: np.ndarray,
+    g_newton: float,
+    order: int,
+    empty_mass_threshold: float = 0.0,
+    m2l: Optional[Callable] = None,
+    p2p: Optional[Callable] = None,
+) -> Tuple[np.ndarray, np.ndarray, Dict[str, float]]:
+    """The near-field phase for one shard's target leaves.
+
+    Far L2P over every target, then per cache block the octant M2L and
+    its near L2P, then the class-batched P2P direct sums.  ``mass_src``
+    ``(S, nc)`` holds the cell masses of ``shard.src_slots``; ``m2l`` /
+    ``p2p`` override the host kernels (the array-backend dispatchers).
+    Returns ``phi (T, nc)``, ``acc (T, nc, 3)`` and the wall seconds of
+    the near M2L, L2P and P2P parts.
+
+    Every target's sums are formed exactly as in the unsharded plan —
+    the same segments, classes and edge order — so any sharding and any
+    blocking give identical bits.
+    """
+    if m2l is None:
+        m2l = partial(m2l_segmented, order=order)
+    if p2p is None:
+        def p2p(t1, t3, tgt, pos_t, mass_s, pos_s, inv_dx, phi_out, acc_out, width):  # noqa: ANN001, ANN202
+            p2p_apply_class(t1, t3, tgt, pos_t, mass_s, pos_s, inv_dx,
+                            g_newton, phi_out, acc_out, width=width)
+
+    t0 = time.perf_counter()
+    tg = shard.targets
+    delta = shard.tgt_pos - far.com[tg][:, None, :]
+    phi, acc = batched_local_evaluate(
+        far.l0[tg], far.l1[tg], far.l2[tg], far.l3[tg], delta, g_newton
+    )
+    l2p_s = time.perf_counter() - t0
+
+    m2l_s = 0.0
+    sub = shard.oct_cells.shape[1]
+    cells = shard.oct_cells[None, :, :]
+    oct_com = far.oc.reshape(-1, 8, 3)
+    ip = shard.near_indptr
+    for a, b in shard.blocks:
+        t0 = time.perf_counter()
+        lo = ip[8 * a]
+        rows = shard.near_rows[lo:ip[8 * b]]
+        seg = ip[8 * a:8 * b + 1] - lo
+        centers = np.repeat(
+            far.oc[shard.near_center_rows[8 * a:8 * b]], np.diff(seg), axis=0
+        )
+        q0, q1, q2, q3 = m2l(
+            far.om[rows], far.oc[rows], far.oq[rows], far.oo[rows],
+            centers, seg,
+        )
+        t1 = time.perf_counter()
+        m2l_s += t1 - t0
+        nb = b - a
+        local = shard.near_local[a:b]
+        opos = shard.tgt_pos[local][:, shard.oct_cells, :]
+        ocom = oct_com[shard.near_tgt_rows[a:b]]
+        odelta = (opos - ocom[:, :, None, :]).reshape(nb * 8, sub, 3)
+        po, ao = batched_local_evaluate(q0, q1, q2, q3, odelta, g_newton)
+        phi[local[:, None, None], cells] += po.reshape(nb, 8, sub)
+        acc[local[:, None, None], cells] += ao.reshape(nb, 8, sub, 3)
+        l2p_s += time.perf_counter() - t1
+
+    t0 = time.perf_counter()
+    thr = empty_mass_threshold
+    if thr > 0.0:
+        src_total = mass_src.sum(axis=1)
+    for cls in shard.p2p:
+        tgt, src, inv_dx = cls.tgt, cls.src, cls.inv_dx
+        if thr > 0.0:
+            keep = src_total[src] > thr
+            if not keep.any():
+                continue
+            if not keep.all():
+                tgt, src, inv_dx = tgt[keep], src[keep], inv_dx[keep]
+        t1, t3 = cls.templates()
+        p2p(
+            t1, t3, tgt, shard.tgt_pos[tgt], mass_src[src],
+            shard.src_pos[src], inv_dx, phi, acc, cls.width,
+        )
+    p2p_s = time.perf_counter() - t0
+    return phi, acc, {"m2l_near_s": m2l_s, "l2p_s": l2p_s, "p2p_s": p2p_s}
+
+
 class FmmSolver:
     """Computes the gravitational field of the mesh's density distribution.
 
@@ -122,17 +270,12 @@ class FmmSolver:
         angmom_correction: bool = True,
         empty_mass_threshold: float = 0.0,
         m2l_split: int = 0,
-        backend: str = "des",
-        nprocs: int = 2,
-        overlap: bool = False,
         verify_plans: bool = True,
         array_backend: Optional[str] = None,
         plan_cache: Optional["PlanCache"] = None,
     ) -> None:
         if not 0.0 < theta <= 1.0:
             raise ValueError("theta must be in (0, 1]")
-        if backend not in ("des", "process"):
-            raise ValueError(f"backend must be 'des' or 'process', got {backend!r}")
         self.order = order
         self.theta = theta
         self.g_newton = g_newton
@@ -143,12 +286,6 @@ class FmmSolver:
         #: interleave them with communication (the paper's SVII-C
         #: multipole work-splitting); results are bit-identical.
         self.m2l_split = m2l_split
-        #: Futurized M2L fan-out (process backend): the parent keeps a
-        #: slice of the shards and computes them locally while the posted
-        #: remote shard payloads propagate — the same latency-hiding shape
-        #: as the hydro overlap schedule, and bit-identical either way
-        #: (shard target rows are disjoint, accumulation is shard-ordered).
-        self.overlap = bool(overlap)
         #: Sub-grids whose total mass is below this act as pure vacuum
         #: sources (their P2P/M2L source side is skipped).  Star scenarios
         #: are mostly floor-density vacuum; skipping it changes forces by
@@ -163,20 +300,12 @@ class FmmSolver:
         #: state is looked up by mesh fingerprint before paying a cold
         #: dual-tree traversal, and cold results are stored back.
         self.plan_cache = plan_cache
-        #: "process" fans the sharded far-field M2L batches out to a pool
-        #: of stateless worker processes (:mod:`repro.amt.parallel`); the
-        #: shard arrays ride the pipes and the partials are accumulated in
-        #: deterministic shard order — bit-identical to "des"/in-process
-        #: because shard target rows within a level are disjoint.
-        self.backend = backend
-        self.nprocs = nprocs
         #: Statically verify every sharded M2L batch decomposition before
         #: executing it (:func:`repro.analysis.planverify.verify_fmm_split`):
         #: shard target sets must be disjoint and reproduce the unsplit
         #: order, or the solve refuses to run.  Memoised per (plan, split).
         self.verify_plans = verify_plans
         self._verified_splits = set()
-        self._engine = None  # lazy ParallelEngine
         #: Array backend for the batched M2L / P2P GEMM kernels
         #: (:mod:`repro.kokkos.backend`).  ``None`` keeps the seed host
         #: path.  Host-storage backends (``numpy``/``pyjit``/``numba``)
@@ -187,12 +316,6 @@ class FmmSolver:
             from repro.kokkos.backend import get_backend
 
             self._abackend = get_backend(array_backend)
-            if backend == "process" and self._abackend.module is not np:
-                raise ValueError(
-                    "the process backend ships M2L shards over pipes as "
-                    "host ndarrays; it cannot be combined with array "
-                    f"backend {array_backend!r}"
-                )
         else:
             self._abackend = None
 
@@ -307,14 +430,15 @@ fingerprint`) or ``theta`` changed.
         return tuple(b.to_numpy(t) for t in out)
 
     def _p2p_dispatch(
-        self, t1, t3, tgt, pos_t, mass_s, pos_s, inv_dx, phi_out, acc_out
+        self, t1, t3, tgt, pos_t, mass_s, pos_s, inv_dx, phi_out, acc_out,
+        width,
     ):
         """Route one P2P geometry class through the selected array backend."""
         b = self._abackend
         if b is None or b.module is np:
             p2p_apply_class(
                 t1, t3, tgt, pos_t, mass_s, pos_s, inv_dx,
-                self.g_newton, phi_out, acc_out,
+                self.g_newton, phi_out, acc_out, width=width,
             )
             return
         nc = phi_out.shape[1]
@@ -324,26 +448,10 @@ fingerprint`) or ``theta`` changed.
             b.from_numpy(t1), b.from_numpy(t3), tgt,
             b.from_numpy(pos_t), b.from_numpy(mass_s), b.from_numpy(pos_s),
             b.from_numpy(inv_dx), self.g_newton, dphi, dacc, xp=b.module,
+            width=width,
         )
         phi_out += b.to_numpy(dphi).reshape(-1, nc)
         acc_out += b.to_numpy(dacc).reshape(-1, nc, 3)
-
-    # -- process backend -------------------------------------------------------
-    def engine(self):
-        """Lazy worker pool for the process backend (stateless workers:
-        every shard's arrays ride the pipe, so no re-fork on regrid)."""
-        if self._engine is None:
-            from repro.amt.parallel import ParallelEngine
-
-            self._engine = ParallelEngine(self.nprocs)
-            self._engine.start(_m2l_worker_factory)
-        return self._engine
-
-    def close(self) -> None:
-        """Shut down the M2L worker pool (process backend)."""
-        if self._engine is not None:
-            self._engine.shutdown()
-            self._engine = None
 
     def _check_split(self, plan, split):  # noqa: ANN001
         """Refuse unverified shard decompositions (once per plan+split)."""
@@ -353,65 +461,6 @@ fingerprint`) or ``theta`` changed.
         if key not in self._verified_splits:
             require_verified(verify_fmm_split(plan, split))
             self._verified_splits.add(key)
-
-    def _m2l_fanout(self, plan, mom, locals_, reg):  # noqa: ANN001
-        """Far-field M2L sharded over the worker processes.
-
-        Shards are dealt round-robin and their partial locals accumulated
-        in deterministic shard order; within a level the shard target rows
-        are disjoint, so the result is bit-identical to the in-process
-        loop regardless of which worker computed what.
-        """
-        mom_m, mom_c, mom_q, mom_o = mom
-        l0, l1, l2, l3 = locals_
-        engine = self.engine()
-        split = self.m2l_split
-        if split == 0:
-            # Auto-shard: ~4 batches per worker so the round-robin deal
-            # stays balanced even when levels have uneven row counts.
-            total_rows = sum(len(fl.tgt_idx) for fl in plan.split(0))
-            split = max(1, -(-total_rows // (4 * engine.nprocs)))
-        self._check_split(plan, split)
-        shards = list(plan.split(split))
-        # Futurized fan-out: the parent claims every (nprocs+1)-th shard
-        # for itself and computes it *between* posting the remote sends
-        # and draining their replies — local compute hides remote payload
-        # latency.  Partials are accumulated in shard index order either
-        # way, so the sums are bit-identical to the all-remote deal.
-        lanes = engine.nprocs + 1 if self.overlap else engine.nprocs
-        ranks = [
-            i % lanes if i % lanes < engine.nprocs else None
-            for i in range(len(shards))
-        ]
-        for i, fl in enumerate(shards):
-            if ranks[i] is None:
-                continue  # parent-local shard
-            centers = np.repeat(mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0)
-            engine.send(ranks[i], (
-                "m2l",
-                mom_m[fl.src_idx], mom_c[fl.src_idx],
-                mom_q[fl.src_idx], mom_o[fl.src_idx],
-                centers, fl.indptr, self.order,
-            ))
-        for i, rank in enumerate(ranks):
-            fl = shards[i]
-            if rank is None:
-                with reg.timer("fmm.m2l.local"):
-                    centers = np.repeat(
-                        mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0
-                    )
-                    s0, s1, s2, s3 = self._m2l_dispatch(
-                        mom_m[fl.src_idx], mom_c[fl.src_idx],
-                        mom_q[fl.src_idx], mom_o[fl.src_idx],
-                        centers, fl.indptr,
-                    )
-            else:
-                s0, s1, s2, s3 = engine.gather([rank])[0]
-            l0[fl.tgt_idx] += s0
-            l1[fl.tgt_idx] += s1
-            l2[fl.tgt_idx] += s2
-            l3[fl.tgt_idx] += s3
-        engine.harvest_timers(reg)
 
     # -- leaf particle data ---------------------------------------------------
     @staticmethod
@@ -434,18 +483,81 @@ fingerprint`) or ``theta`` changed.
         )
 
     # -- the solve ------------------------------------------------------------
-    def solve(self, mesh: AmrMesh) -> FmmResult:
-        """Plan-cached, batched solve (see the module docstring)."""
-        reg = self._registry()
-        with reg.timer("fmm.plan"):
-            plan = self.plan_for(mesh)
-        stats = self._stats_from_plan(plan)
-        n = mesh.n
-        nc = n**3
-        n_leaves = len(plan.leaf_keys)
-        n_nodes = len(plan.node_keys)
+    def solve(self, mesh: AmrMesh, pool=None) -> FmmResult:  # noqa: ANN001
+        """Plan-cached, batched solve (see the module docstring).
 
-        # Phase 1: bottom-up moments, stacked (P2M batched, M2M per level).
+        The parent runs the tree phases (P2M/M2M, octant moments, far M2L,
+        L2L) into a :class:`FarField`; the near-field phase
+        (:func:`evaluate_shard`) then forms every leaf's phi and accel.
+        In-process that is the plan's single shard.  With ``pool`` — a
+        :class:`~repro.hydro.process_backend.ProcessHydroExecutor` whose
+        arenas hold ``mesh`` — the far field goes to the pool's shm arena
+        and each worker evaluates the shard of the leaves it owns, writing
+        accel/phi straight into shm; the returned dicts then view those
+        arenas.  Both paths produce identical bits.
+        """
+        reg = self._registry()
+        with reg.timer("fmm.solve"):
+            with reg.timer("fmm.plan"):
+                plan = self.plan_for(mesh)
+            stats = self._stats_from_plan(plan)
+            n = mesh.n
+            n_leaves = len(plan.leaf_keys)
+            n_part = int(plan.part_slots.size)
+            size = FarField.floats(n_leaves, n_part)
+            flat = pool.far_buffer(size) if pool is not None else np.empty(size)
+            far = FarField.on(flat, n_leaves, n_part)
+            mass, far_s, l2l_s = self._tree_phases(plan, mesh, far, reg)
+
+            if pool is None:
+                shard = plan.serial_shard()
+                src = shard.src_slots
+                phi_flat, acc_flat, seg = evaluate_shard(
+                    shard, far, mass if src.size == n_leaves else mass[src],
+                    self.g_newton, self.order, self.empty_mass_threshold,
+                    m2l=self._m2l_dispatch, p2p=self._p2p_dispatch,
+                )
+                # Component-major and contiguous, like the pool's accel
+                # arena: the projections' reductions see the same layout.
+                acc_cm = np.ascontiguousarray(acc_flat.transpose(0, 2, 1))
+                phi: Dict[NodeKey, np.ndarray] = {}
+                accel: Dict[NodeKey, np.ndarray] = {}
+                for i, key in enumerate(plan.leaf_keys):
+                    phi[key] = phi_flat[i].reshape(n, n, n)
+                    accel[key] = acc_cm[i].reshape(3, n, n, n)
+            else:
+                seg, phi, accel = pool.near_field(self, plan)
+
+            # Critical-path phase totals: parent phases plus the slowest
+            # rank's near-field phases, so they sum to at most fmm.solve.
+            reg.sample("fmm.m2l.far", far_s)
+            reg.sample("fmm.m2l.near", seg["m2l_near_s"])
+            reg.sample("fmm.m2l", far_s + seg["m2l_near_s"])
+            reg.sample("fmm.l2p", l2l_s + seg["l2p_s"])
+            reg.sample("fmm.p2p", seg["p2p_s"])
+
+            # Conservation projections, over every leaf in plan order.
+            masses = {key: mass[i] for i, key in enumerate(plan.leaf_keys)}
+            if self.momentum_correction:
+                project_momentum(masses, accel)
+            if self.angmom_correction:
+                positions = {
+                    key: plan.leaf_pos[i] for i, key in enumerate(plan.leaf_keys)
+                }
+                project_angular_momentum(masses, positions, accel)
+
+        self.last_stats = stats
+        return FmmResult(phi, accel, stats)
+
+    def _tree_phases(
+        self, plan: FmmPlan, mesh: AmrMesh, far: "FarField", reg: CounterRegistry
+    ) -> Tuple[np.ndarray, float, float]:
+        """P2M/M2M and octant moments, far M2L, L2L — written into ``far``.
+
+        Returns the leaf cell masses ``(L, nc)`` and the far-M2L and L2L
+        wall seconds (P2M/M2M is timed here as ``fmm.p2m_m2m``).
+        """
+        n_nodes = len(plan.node_keys)
         with reg.timer("fmm.p2m_m2m"):
             rho = np.stack(
                 [
@@ -478,131 +590,66 @@ fingerprint`) or ``theta`` changed.
                 mom_q[int_idx] = cq
                 mom_o[int_idx] = co
 
-        # Phase 2: same-level interactions — far M2L per level, near M2L
-        # from octant sub-moments, all through the segmented kernel.
-        with reg.timer("fmm.m2l"):
-            l0 = np.zeros(n_nodes)
-            l1 = np.zeros((n_nodes, 3))
-            l2 = np.zeros((n_nodes, 3, 3))
-            l3 = np.zeros((n_nodes, 3, 3, 3))
-            if self.backend == "process":
-                self._m2l_fanout(
-                    plan, (mom_m, mom_c, mom_q, mom_o), (l0, l1, l2, l3), reg
-                )
-            else:
-                self._check_split(plan, self.m2l_split)
-                for fl in plan.split(self.m2l_split):
-                    centers = np.repeat(
-                        mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0
-                    )
-                    s0, s1, s2, s3 = self._m2l_dispatch(
-                        mom_m[fl.src_idx],
-                        mom_c[fl.src_idx],
-                        mom_q[fl.src_idx],
-                        mom_o[fl.src_idx],
-                        centers,
-                        fl.indptr,
-                    )
-                    l0[fl.tgt_idx] += s0
-                    l1[fl.tgt_idx] += s1
-                    l2[fl.tgt_idx] += s2
-                    l3[fl.tgt_idx] += s3
-
+            # Octant sub-moments of every near-pair participant: the
+            # sources (and expansion centres) of the near-field M2L.
             n_part = len(plan.part_slots)
-            n_near_tgt = len(plan.near_tgt_slots)
             if n_part:
                 sub = plan.oct_cells.shape[1]
                 ppos = plan.leaf_pos[plan.part_slots][:, plan.oct_cells, :]
                 pmass = mass[plan.part_slots][:, plan.oct_cells]
-                om, oc, oq, oo = batched_moments_from_points(
-                    ppos.reshape(n_part * 8, sub, 3),
-                    pmass.reshape(n_part * 8, sub),
-                    plan.oct_geo_centers.reshape(n_part * 8, 3),
-                )
-            if n_near_tgt:
-                rows = plan.near_rows
-                centers = np.repeat(
-                    oc[plan.near_center_rows], np.diff(plan.near_indptr), axis=0
-                )
-                q0, q1, q2, q3 = self._m2l_dispatch(
-                    om[rows], oc[rows], oq[rows], oo[rows],
-                    centers, plan.near_indptr,
+                far.om[...], far.oc[...], far.oq[...], far.oo[...] = (
+                    batched_moments_from_points(
+                        ppos.reshape(n_part * 8, sub, 3),
+                        pmass.reshape(n_part * 8, sub),
+                        plan.oct_geo_centers.reshape(n_part * 8, 3),
+                    )
                 )
 
-        # Phase 3: top-down L2L, then far-field evaluation (L2P).
-        with reg.timer("fmm.l2p"):
-            for int_idx, child_idx in reversed(plan.level_interiors):
-                d = (mom_c[child_idx] - mom_c[int_idx][:, None, :]).reshape(-1, 3)
-                s0, s1, s2, s3 = batched_local_shift(
-                    np.repeat(l0[int_idx], 8),
-                    np.repeat(l1[int_idx], 8, axis=0),
-                    np.repeat(l2[int_idx], 8, axis=0),
-                    np.repeat(l3[int_idx], 8, axis=0),
-                    d,
-                )
-                flat = child_idx.reshape(-1)
-                l0[flat] += s0
-                l1[flat] += s1
-                l2[flat] += s2
-                l3[flat] += s3
-
-            delta = plan.leaf_pos - mom_c[plan.leaf_node_idx][:, None, :]
-            idx = plan.leaf_node_idx
-            phi_flat, acc_flat = batched_local_evaluate(
-                l0[idx], l1[idx], l2[idx], l3[idx], delta, self.g_newton
+        # Far M2L per level through the segmented kernel.
+        t0 = time.perf_counter()
+        l0 = np.zeros(n_nodes)
+        l1 = np.zeros((n_nodes, 3))
+        l2 = np.zeros((n_nodes, 3, 3))
+        l3 = np.zeros((n_nodes, 3, 3, 3))
+        self._check_split(plan, self.m2l_split)
+        for fl in plan.split(self.m2l_split):
+            centers = np.repeat(mom_c[fl.tgt_idx], np.diff(fl.indptr), axis=0)
+            s0, s1, s2, s3 = self._m2l_dispatch(
+                mom_m[fl.src_idx],
+                mom_c[fl.src_idx],
+                mom_q[fl.src_idx],
+                mom_o[fl.src_idx],
+                centers,
+                fl.indptr,
             )
-            if n_near_tgt:
-                tgt_slots = plan.near_tgt_slots
-                opos = plan.leaf_pos[tgt_slots][:, plan.oct_cells, :]
-                ocom = oc.reshape(n_part, 8, 3)[plan.near_tgt_rows]
-                odelta = (opos - ocom[:, :, None, :]).reshape(n_near_tgt * 8, sub, 3)
-                po, ao = batched_local_evaluate(q0, q1, q2, q3, odelta, self.g_newton)
-                cells = plan.oct_cells[None, :, :]
-                phi_flat[tgt_slots[:, None, None], cells] += po.reshape(
-                    n_near_tgt, 8, sub
-                )
-                acc_flat[tgt_slots[:, None, None], cells] += ao.reshape(
-                    n_near_tgt, 8, sub, 3
-                )
+            l0[fl.tgt_idx] += s0
+            l1[fl.tgt_idx] += s1
+            l2[fl.tgt_idx] += s2
+            l3[fl.tgt_idx] += s3
+        t1 = time.perf_counter()
 
-        # Near field: templated, class-batched direct sums.
-        with reg.timer("fmm.p2p"):
-            thr = self.empty_mass_threshold
-            if thr > 0.0:
-                src_total = mass.sum(axis=1)
-            for cls in plan.p2p_classes:
-                tgt, src, inv_dx = cls.tgt, cls.src, cls.inv_dx
-                if thr > 0.0:
-                    keep = src_total[src] > thr
-                    if not keep.any():
-                        continue
-                    if not keep.all():
-                        tgt, src, inv_dx = tgt[keep], src[keep], inv_dx[keep]
-                t1, t3 = cls.templates()
-                self._p2p_dispatch(
-                    t1, t3, tgt,
-                    plan.leaf_pos[tgt], mass[src], plan.leaf_pos[src],
-                    inv_dx, phi_flat, acc_flat,
-                )
-
-        phi: Dict[NodeKey, np.ndarray] = {}
-        accel: Dict[NodeKey, np.ndarray] = {}
-        masses: Dict[NodeKey, np.ndarray] = {}
-        positions: Dict[NodeKey, np.ndarray] = {}
-        for i, key in enumerate(plan.leaf_keys):
-            phi[key] = phi_flat[i].reshape(n, n, n)
-            accel[key] = acc_flat[i].T.reshape(3, n, n, n)
-            masses[key] = mass[i]
-            positions[key] = plan.leaf_pos[i]
-
-        # Conservation projections.
-        if self.momentum_correction:
-            project_momentum(masses, accel)
-        if self.angmom_correction:
-            project_angular_momentum(masses, positions, accel)
-
-        self.last_stats = stats
-        return FmmResult(phi, accel, stats)
+        # Top-down L2L to the leaves.
+        for int_idx, child_idx in reversed(plan.level_interiors):
+            d = (mom_c[child_idx] - mom_c[int_idx][:, None, :]).reshape(-1, 3)
+            s0, s1, s2, s3 = batched_local_shift(
+                np.repeat(l0[int_idx], 8),
+                np.repeat(l1[int_idx], 8, axis=0),
+                np.repeat(l2[int_idx], 8, axis=0),
+                np.repeat(l3[int_idx], 8, axis=0),
+                d,
+            )
+            flat = child_idx.reshape(-1)
+            l0[flat] += s0
+            l1[flat] += s1
+            l2[flat] += s2
+            l3[flat] += s3
+        idx = plan.leaf_node_idx
+        far.l0[...] = l0[idx]
+        far.l1[...] = l1[idx]
+        far.l2[...] = l2[idx]
+        far.l3[...] = l3[idx]
+        far.com[...] = mom_c[idx]
+        return mass, t1 - t0, time.perf_counter() - t1
 
     # -- reference implementation ---------------------------------------------
     def _traverse(
@@ -844,26 +891,16 @@ fingerprint`) or ``theta`` changed.
 
     # -- integrator hook ------------------------------------------------------
     def as_gravity_callback(self):
-        """A :class:`~repro.hydro.integrator.GravityCallback` closure."""
+        """A :class:`~repro.hydro.integrator.GravityCallback` closure.
+
+        A process-backend integrator given this callback solves through
+        :meth:`solve` with its executor as the pool (the sharded near
+        field); any other callback is called and its accel staged."""
 
         def callback(mesh: AmrMesh) -> Dict[NodeKey, np.ndarray]:
             return self.solve(mesh).accel
 
+        #: The process executor recognises FMM callbacks by this attribute
+        #: and runs their near field in its own worker rounds.
+        callback.fmm_solver = self
         return callback
-
-
-def _m2l_worker_factory(rank: int, registry):  # noqa: ANN001
-    """Handler for the process backend's M2L workers (stateless: every
-    command carries its shard arrays, so the pool survives regrids)."""
-
-    def handler(command):  # noqa: ANN001
-        op = command[0]
-        if op != "m2l":
-            raise ValueError(f"unknown command {op!r}")
-        mom_m, mom_c, mom_q, mom_o, centers, indptr, order = command[1:]
-        with registry.timer("fmm.m2l"):
-            return m2l_segmented(
-                mom_m, mom_c, mom_q, mom_o, centers, indptr, order=order
-            )
-
-    return handler

@@ -194,18 +194,19 @@ def m2l_segmented(
     m5 = mass * inv_r5
     m7 = mass * inv_r7
 
+    # Per-row terms.  The Kronecker-delta parts of L2/L3 are linear in
+    # per-row scalars/vectors, so they are added once per segment after
+    # the reduction instead of being expanded to (R, 3, 3, 3) per row.
+    xx = x[:, :, None] * x[:, None, :]  # (R, 3, 3)
+    xxx = xx[:, :, :, None] * x[:, None, None, :]  # (R, 3, 3, 3)
     l0r = mass * inv_r
     l1r = -m3[:, None] * x
-    l2r = 3.0 * xp.einsum("n,ni,nj->nij", m5, x, x) - m3[:, None, None] * eye
+    l2r = 3.0 * (m5[:, None, None] * xx)
+    l3r = -15.0 * (m7[:, None, None, None] * xxx)
     xs5 = m5[:, None] * x
-    l3r = -15.0 * xp.einsum("n,ni,nj,nk->nijk", m7, x, x, x) + 3.0 * (
-        xp.einsum("ni,jk->nijk", xs5, eye)
-        + xp.einsum("nj,ik->nijk", xs5, eye)
-        + xp.einsum("nk,ij->nijk", xs5, eye)
-    )
 
     if order >= 2:
-        q_xx = xp.einsum("nij,ni,nj->n", quad, x, x)
+        q_xx = xp.einsum("nij,nij->n", quad, xx)
         q_tr = xp.einsum("nii->n", quad)
         l0r += 0.5 * (3.0 * q_xx * inv_r5 - q_tr * inv_r3)
         qx = xp.einsum("nij,nj->ni", quad, x)
@@ -214,19 +215,30 @@ def m2l_segmented(
             + 3.0 * (2.0 * inv_r5[:, None] * qx + (q_tr * inv_r5)[:, None] * x)
         )
     if order >= 3:
-        o_xxx = xp.einsum("nijk,ni,nj,nk->n", octu, x, x, x)
+        o_xxx = xp.einsum("nijk,nijk->n", octu, xxx)
         o_contr = xp.einsum("nijj->ni", octu)
         o_dot = xp.einsum("ni,ni->n", o_contr, x)
         l0r += -(-15.0 * o_xxx * inv_r7 + 9.0 * o_dot * inv_r5) / 6.0
 
     # Segment starts stay host-side integers; xp.asarray is a no-op for np
-    # and a (cheap, index-sized) upload for device namespaces.
+    # and a (cheap, index-sized) upload for device namespaces.  Every sum
+    # is per segment, so splitting the rows at segment boundaries (shards,
+    # cache blocks) leaves each segment's bits unchanged.
     starts = xp.asarray(np.asarray(indptr[:-1], dtype=np.intp))
+    s5 = xp.add.reduceat(xs5, starts, axis=0)
+    l2 = xp.add.reduceat(l2r, starts, axis=0) - xp.add.reduceat(
+        m3, starts
+    )[:, None, None] * eye
+    l3 = xp.add.reduceat(l3r, starts, axis=0) + 3.0 * (
+        xp.einsum("si,jk->sijk", s5, eye)
+        + xp.einsum("sj,ik->sijk", s5, eye)
+        + xp.einsum("sk,ij->sijk", s5, eye)
+    )
     return (
         xp.add.reduceat(l0r, starts),
         xp.add.reduceat(l1r, starts, axis=0),
-        xp.add.reduceat(l2r, starts, axis=0),
-        xp.add.reduceat(l3r, starts, axis=0),
+        l2,
+        l3,
     )
 
 

@@ -21,6 +21,24 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+#: Most edges per P2P GEMM.  BLAS picks different kernels for different
+#: product widths, and those round differently; so each geometry class
+#: fixes one width (:func:`p2p_width`) and every product of it has exactly
+#: that many columns, the last chunk zero-padded.  An edge's result then
+#: does not depend on how many edges share its call, and a class split
+#: across shards is bit-identical to the whole class.
+P2P_CHUNK = 16
+
+
+def p2p_width(n_edges: int) -> int:
+    """The GEMM width of a class with ``n_edges`` edges: the next power of
+    two, at most :data:`P2P_CHUNK` (odd widths round position-dependently,
+    so they are avoided)."""
+    width = 1
+    while width < min(n_edges, P2P_CHUNK):
+        width *= 2
+    return width
+
 
 def pairwise_accumulate(
     pos_a: np.ndarray,
@@ -116,6 +134,7 @@ def p2p_apply_class(
     phi_out: np.ndarray,
     acc_out: np.ndarray,
     xp=np,
+    width: int = P2P_CHUNK,
 ) -> None:
     """Execute all directed P2P edges of one geometry class in two GEMMs.
 
@@ -128,6 +147,8 @@ def p2p_apply_class(
     :class:`repro.kokkos.backend.ArrayBackend` module); all array inputs
     and the output buffers must live in that namespace.  The default host
     path (``xp is np``) is bit-identical to the pre-dispatch kernel.
+    ``width`` is the class's GEMM width (:func:`p2p_width` of its full
+    edge count, also when ``tgt`` is a subset of the class).
 
     The physical sums factor through the templates:
 
@@ -135,22 +156,30 @@ def p2p_apply_class(
         acc_a = -G [p_a * rowsum(W) - W p_b],  W = m_b / r^3
               = -G/dx^3 * [p_a * (T3 @ m_b) - T3 @ (m_b * p_b)]
 
-    so one ``T1`` GEMM and one four-column-per-edge ``T3`` GEMM replace the
-    per-pair distance matrices entirely.
+    so one ``T1`` GEMM and one four-column-per-edge ``T3`` GEMM per chunk
+    of ``width`` edges replace the per-pair distance matrices entirely.
     """
     n_edges = tgt.shape[0]
     nc = mass_s.shape[1]
-    out1 = t1 @ mass_s.T  # (nc_t, E)
-    rhs = xp.concatenate([mass_s[:, :, None], mass_s[:, :, None] * pos_s], axis=2)
-    out3 = (t3 @ rhs.transpose(1, 0, 2).reshape(nc, 4 * n_edges)).reshape(
-        -1, n_edges, 4
-    )
-    for e in range(n_edges):
-        t = int(tgt[e])
-        s1 = g_newton * inv_dx[e]
-        s3 = g_newton * inv_dx[e] ** 3
-        phi_out[t] -= s1 * out1[:, e]
-        acc_out[t] -= s3 * (pos_t[e] * out3[:, e, 0][:, None] - out3[:, e, 1:4])
+    for lo in range(0, n_edges, width):
+        hi = min(lo + width, n_edges)
+        m_s, p_s = mass_s[lo:hi], pos_s[lo:hi]
+        if hi - lo < width:  # zero-mass pad edges contribute nothing
+            m_s = xp.concatenate([m_s, xp.zeros((width - (hi - lo), nc))])
+            p_s = xp.concatenate([p_s, xp.zeros((width - (hi - lo), nc, 3))])
+        out1 = t1 @ m_s.T  # (nc_t, width)
+        rhs = xp.concatenate([m_s[:, :, None], m_s[:, :, None] * p_s], axis=2)
+        out3 = (t3 @ rhs.transpose(1, 0, 2).reshape(nc, 4 * width)).reshape(
+            -1, width, 4
+        )
+        for j, e in enumerate(range(lo, hi)):
+            t = int(tgt[e])
+            s1 = g_newton * inv_dx[e]
+            s3 = g_newton * inv_dx[e] ** 3
+            phi_out[t] -= s1 * out1[:, j]
+            acc_out[t] -= s3 * (
+                pos_t[e] * out3[:, j, 0][:, None] - out3[:, j, 1:4]
+            )
 
 
 def direct_field(

@@ -51,13 +51,13 @@ rebuilding an ``(n^3, n^3)`` distance matrix per pair.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.gravity.multipole import octant_ids
-from repro.gravity.pairwise import p2p_unit_templates
+from repro.gravity.pairwise import p2p_unit_templates, p2p_width
 from repro.octree.mesh import AmrMesh, pack_keys
 from repro.octree.node import NodeKey, OctreeNode
 from repro.octree.regrid import RegridDelta
@@ -73,6 +73,12 @@ DEFAULT_TEMPLATE_BUDGET = 192 * 2**20
 #: back to a cold traversal (the pruned traversal would visit most of the
 #: tree anyway).
 DELTA_COLD_FRACTION = 0.5
+
+#: Near-field M2L rows per cache block: a shard runs its octant M2L and
+#: near L2P over runs of whole target leaves of about this many rows, so
+#: the per-row temporaries stay cache-resident instead of streaming one
+#: 10^5-row batch through memory.
+NEAR_BLOCK_ROWS = 6_000
 
 _LEVEL_SHIFT = 58
 _CODE_MASK = (1 << _LEVEL_SHIFT) - 1
@@ -295,6 +301,9 @@ class P2PClass:
     upos_s: np.ndarray  # (nc, 3) unit source cell positions
     t1: Optional[np.ndarray] = None  # cached 1/|u| template (None: rebuild per solve)
     t3: Optional[np.ndarray] = None
+    #: GEMM width of the whole class (:func:`~repro.gravity.pairwise.\
+    #: p2p_width`); kept by shard subsets so their bits match the class.
+    width: int = 1
 
     def templates(self) -> Tuple[np.ndarray, np.ndarray]:
         if self.t1 is not None:
@@ -409,6 +418,8 @@ class FmmPlan:
     #: Memoised :meth:`split` shards, keyed on ``max_rows`` — sharding is a
     #: pure slicing of the CSR arrays, so shards share the plan's storage.
     _split_cache: Dict[int, List[FarLevel]] = field(default_factory=dict)
+    #: Memoised :meth:`serial_shard`.
+    _serial_shard: Optional["FmmShard"] = None
 
     #: Chain-wide P2P template store, shared *by reference* along a
     #: reuse/update chain of plans.  Templates are pure functions of the
@@ -473,6 +484,195 @@ class FmmPlan:
             for cls in self.p2p_classes
             if cls.t1 is not None
         }
+
+    # -- near-field shards ----------------------------------------------------
+    def serial_shard(self) -> "FmmShard":
+        """The whole near field as one shard (the in-process solve)."""
+        if self._serial_shard is None:
+            self._serial_shard = shard_plan(
+                self, np.zeros(len(self.leaf_keys), dtype=np.intp), 1
+            )[0]
+        return self._serial_shard
+
+
+@dataclass
+class FmmShard:
+    """The near-field work of one rank: everything that lands on the
+    target leaves it owns.
+
+    Covers far L2P, octant M2L, near L2P and P2P for ``targets``.  Index
+    arrays address the global far-field state (leaf slots and octant rows
+    of the plan it was cut from), so every rank reads the same parent-built
+    expansions; outputs are per local target.  Each target keeps its
+    complete near segments and, per P2P class, its edges in plan order,
+    so its sums are formed exactly as in the unsharded plan.
+    """
+
+    rank: int
+    n_leaves: int
+    n_part: int
+    #: (T,) owned leaf slots, ascending — the only accel/phi slots written.
+    targets: np.ndarray
+    tgt_pos: np.ndarray  # (T, nc, 3) their cell centres
+    #: Near targets: local target index, participant row and plan index.
+    near_local: np.ndarray  # (Tn,)
+    near_tgt_rows: np.ndarray  # (Tn,)
+    near_idx: np.ndarray  # (Tn,) rows of plan.near_tgt_slots
+    near_rows: np.ndarray  # (R,) source octant rows
+    near_indptr: np.ndarray  # (8 Tn + 1,)
+    near_center_rows: np.ndarray  # (8 Tn,)
+    #: Cache blocks: contiguous near-target ranges of ~NEAR_BLOCK_ROWS rows.
+    blocks: List[Tuple[int, int]]
+    oct_cells: np.ndarray  # (8, nc // 8)
+    #: Leaves the P2P edges read mass from, with their cell data.
+    src_slots: np.ndarray  # (S,)
+    src_pos: np.ndarray  # (S, nc, 3)
+    src_vol: np.ndarray  # (S,)
+    #: P2P classes restricted to owned targets (``tgt``/``src`` are local
+    #: target/source indices), their plan class index and plan edge rows.
+    p2p: List[P2PClass]
+    p2p_class: List[int]
+    p2p_edges: List[np.ndarray]
+
+    def without_templates(self) -> "FmmShard":
+        """A copy whose classes drop cached templates — the wire form.
+
+        Templates are pure functions of the class key, so the receiver
+        rebuilds them bit for bit (:meth:`bind_templates`) instead of
+        taking megabytes per class through a pipe."""
+        light = [replace(c, t1=None, t3=None) for c in self.p2p]
+        return replace(self, p2p=light)
+
+    def bind_templates(
+        self,
+        store: Dict[Tuple[int, Tuple[int, int, int]], Tuple[np.ndarray, np.ndarray]],
+    ) -> None:
+        """Attach templates to every class, from ``store`` or freshly built
+        (and then kept in ``store``)."""
+        for cls in self.p2p:
+            if cls.t1 is None:
+                cached = store.get(cls.key)
+                if cached is None:
+                    cached = p2p_unit_templates(cls.upos_t, cls.upos_s)
+                    store[cls.key] = cached
+                cls.t1, cls.t3 = cached
+
+
+def _near_blocks(rows_per_target: np.ndarray, max_rows: int) -> List[Tuple[int, int]]:
+    """Greedy contiguous target ranges of at most ``max_rows`` rows each
+    (always at least one target)."""
+    blocks: List[Tuple[int, int]] = []
+    start = 0
+    n = rows_per_target.size
+    while start < n:
+        stop = start + 1
+        rows = int(rows_per_target[start])
+        while stop < n and rows + int(rows_per_target[stop]) <= max_rows:
+            rows += int(rows_per_target[stop])
+            stop += 1
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
+def _take(a: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """``a[idx]`` for a sorted unique ``idx``, without the copy when
+    ``idx`` is all of ``range(n)`` (the single-shard case)."""
+    return a if idx.size == n else a[idx]
+
+
+def shard_plan(
+    plan: FmmPlan,
+    owner: np.ndarray,
+    n_ranks: int,
+    block_rows: int = NEAR_BLOCK_ROWS,
+) -> List[FmmShard]:
+    """Cut the near field of ``plan`` by target-leaf owner.
+
+    ``owner[slot]`` is the rank owning leaf slot ``slot`` (plan leaf
+    order).  Rank ``r`` gets every near segment and P2P edge whose target
+    it owns, in plan order; :func:`repro.analysis.planverify.\
+verify_fmm_shards` checks the result.
+    """
+    owner = np.asarray(owner)
+    n_leaves = len(plan.leaf_keys)
+    n_near = plan.near_tgt_slots.size
+    oct8 = np.arange(8, dtype=np.intp)
+    seg_counts = np.diff(plan.near_indptr)
+    tgt_rows = seg_counts.reshape(-1, 8).sum(axis=1)
+    near_owner = owner[plan.near_tgt_slots]
+    shards: List[FmmShard] = []
+    for rank in range(n_ranks):
+        targets = np.flatnonzero(owner == rank).astype(np.intp)
+        local = np.full(n_leaves, -1, dtype=np.intp)
+        local[targets] = np.arange(targets.size)
+
+        sel = np.flatnonzero(near_owner == rank).astype(np.intp)
+        oct_sel = (8 * sel[:, None] + oct8).ravel()
+        if sel.size == n_near:
+            near_rows = plan.near_rows
+        elif sel.size:
+            near_rows = np.concatenate([
+                plan.near_rows[plan.near_indptr[8 * j]:plan.near_indptr[8 * j + 8]]
+                for j in sel
+            ])
+        else:
+            near_rows = np.empty(0, dtype=np.intp)
+        near_indptr = np.concatenate(
+            [[0], np.cumsum(seg_counts[oct_sel])]
+        ).astype(np.intp)
+
+        classes: List[P2PClass] = []
+        class_idx: List[int] = []
+        edges: List[np.ndarray] = []
+        for ci, cls in enumerate(plan.p2p_classes):
+            e = np.flatnonzero(owner[cls.tgt] == rank).astype(np.intp)
+            if e.size:
+                classes.append(cls)
+                class_idx.append(ci)
+                edges.append(e)
+        src_slots = (
+            np.unique(np.concatenate([c.src[e] for c, e in zip(classes, edges)]))
+            if classes else np.empty(0, dtype=np.intp)
+        ).astype(np.intp)
+        src_local = np.full(n_leaves, -1, dtype=np.intp)
+        src_local[src_slots] = np.arange(src_slots.size)
+        p2p = []
+        for c, e in zip(classes, edges):
+            n_edges = c.tgt.size
+            p2p.append(P2PClass(
+                key=c.key,
+                tgt=local[_take(c.tgt, e, n_edges)],
+                src=src_local[_take(c.src, e, n_edges)],
+                inv_dx=_take(c.inv_dx, e, n_edges),
+                upos_t=c.upos_t,
+                upos_s=c.upos_s,
+                t1=c.t1,
+                t3=c.t3,
+                width=c.width,
+            ))
+        shards.append(FmmShard(
+            rank=rank,
+            n_leaves=n_leaves,
+            n_part=int(plan.part_slots.size),
+            targets=targets,
+            tgt_pos=_take(plan.leaf_pos, targets, n_leaves),
+            near_local=local[plan.near_tgt_slots[sel]],
+            near_tgt_rows=plan.near_tgt_rows[sel],
+            near_idx=sel,
+            near_rows=near_rows,
+            near_indptr=near_indptr,
+            near_center_rows=_take(plan.near_center_rows, oct_sel, 8 * n_near),
+            blocks=_near_blocks(tgt_rows[sel], block_rows),
+            oct_cells=plan.oct_cells,
+            src_slots=src_slots,
+            src_pos=_take(plan.leaf_pos, src_slots, n_leaves),
+            src_vol=plan.cell_vol[src_slots],
+            p2p=p2p,
+            p2p_class=class_idx,
+            p2p_edges=edges,
+        ))
+    return shards
 
 
 def _leaf_positions(leaf: OctreeNode) -> np.ndarray:
@@ -667,6 +867,7 @@ def _assemble_plan(
                     inv_dx=1.0 / dxm[seg],
                     upos_t=upos_t,
                     upos_s=upos_s,
+                    width=p2p_width(seg.size),
                 )
             )
 

@@ -26,7 +26,11 @@ leaves partitioned over the worker processes of a
   three when flux corrections are active — so the schedule satisfies the
   same dependence structure the DES driver wires through futures: fills
   read only stage-``k-1`` interiors (every traced fill reads interiors
-  only), kernels read own interiors + ghosts, updates write own interiors.
+  only), kernels read own interiors + ghosts, updates write own interiors;
+* FMM gravity is one more round: the parent writes the far field into a
+  small shm arena, and each worker evaluates the near field of the leaves
+  it owns (:func:`repro.gravity.fmm.evaluate_shard`), writing their accel
+  and phi into shm (see :meth:`ProcessHydroExecutor.near_field`).
 
 Every kernel is the bit-identical stacked implementation the batched
 integrator uses, partitioned over disjoint leaf sets, so the result is
@@ -53,6 +57,7 @@ from repro.amt.shm import ShmArena
 from repro.analysis.effects import ANY, declare_effects
 from repro.analysis.planverify import (
     require_verified,
+    verify_fmm_shards,
     verify_process_plan,
     verify_region_split,
 )
@@ -67,11 +72,14 @@ from repro.analysis.shmrace import (
     SEG_ACCEL,
     SEG_FIELDS,
     SEG_FLUX,
+    SEG_PHI,
     ShmEventLog,
     ShmRaceDetector,
     field_access_rows,
 )
 from repro.comms.bundle import GhostBundlePlan, adopt_arena, build_bundle_plan
+from repro.gravity.fmm import FAR_FLOATS_PER_LEAF, FarField, evaluate_shard
+from repro.gravity.plan import FmmShard, shard_plan
 from repro.hydro.eos import IdealGasEOS
 from repro.hydro.plan import (
     ScratchArena,
@@ -84,7 +92,7 @@ from repro.hydro.plan import (
     stacked_update_kernel,
 )
 from repro.hydro.reflux import apply_flux_table, build_reflux_table
-from repro.octree.fields import NFIELDS
+from repro.octree.fields import NFIELDS, Field
 from repro.octree.ghost import FaceTraceCache
 from repro.octree.mesh import AmrMesh
 from repro.octree.node import NodeKey
@@ -126,7 +134,13 @@ class _WorkerState:
         #: every rank (rounds broadcast the same command sequence).
         self.epoch = 0
         self.events = None
+        #: P2P templates of the bound gravity shard, by class key — kept
+        #: across replans so a revisited class is not rebuilt.
+        self.templates: Dict[Any, Tuple[np.ndarray, np.ndarray]] = {}
+        self.shard: Optional[FmmShard] = None
         self._bind()
+        if executor.fmm_shards:
+            self._adopt_shard(executor.fmm_shards[rank])
         if executor.event_log is not None:
             self.events = executor.event_log.writer(rank)
             self._build_event_rows(len(executor.leaf_keys))
@@ -195,6 +209,13 @@ class _WorkerState:
             self.region_interior.append(interior_list)
             self.region_halo.append(halo_list)
 
+    def _adopt_shard(self, shard: Optional[FmmShard]) -> None:
+        """Take this rank's near-field shard, with its P2P templates."""
+        self.shard = shard
+        if shard is not None:
+            shard.bind_templates(self.templates)
+            self.templates = {c.key: (c.t1, c.t3) for c in shard.p2p}
+
     def _region_faces(
         self, lo: int, hi: int, box: Tuple[int, ...]
     ) -> Dict[Tuple[int, int], np.ndarray]:
@@ -235,6 +256,7 @@ class _WorkerState:
         n_slots = len(ex.leaf_keys)
         ex.arena_view = ex.arena.ndarray((n_slots * chunk,))
         ex.accel_view = ex.accel_arena.ndarray((n_slots, 3, n, n, n))
+        ex.phi_view = ex.phi_arena.ndarray((n_slots, n, n, n))
         ex.flux_view = ex.flux_arena.ndarray(
             (n_slots, 3, 2, NFIELDS, n, n)
         )
@@ -250,8 +272,16 @@ class _WorkerState:
         plan.cover = {}
         plan.donor_of = {}
         self._bind()
+        self._adopt_shard(payload["fmm_shard"])
         if self.events is not None:
             self._build_event_rows(n_slots)
+
+    def gplan(self, shard: FmmShard) -> None:
+        """Adopt a new near-field shard (the gravity plan moved without a
+        topology change, e.g. a new solver or opening angle)."""
+        self._adopt_shard(shard)
+        if self.events is not None:
+            self._build_event_rows(len(self.ex.leaf_keys))
 
     def _build_event_rows(self, n_slots: int) -> None:
         """Precompute per-phase shm access descriptors from the *live*
@@ -304,6 +334,7 @@ class _WorkerState:
             ),
             "update": own_int_write,
             "finish": own_int_write,
+            "gravity": self._gravity_rows(),
         }
         rhs_base = runs_rows(MODE_READ, SEG_FIELDS, REGION_ALL)
         rhs_flux = runs_rows(MODE_WRITE, SEG_FLUX, REGION_ALL)
@@ -317,6 +348,24 @@ class _WorkerState:
                     parts.append(rhs_accel)
                 ev[("rhs", fluxes, accel)] = np.vstack(parts)
         self._event_rows = ev
+
+    def _gravity_rows(self) -> np.ndarray:
+        """The near-field phase's footprint, from the live shard arrays:
+        read density of every P2P source leaf, write accel and phi of the
+        target leaves."""
+        shard = self.shard
+        if shard is None:
+            return np.empty((0, 5), dtype=np.int64)
+        rows = [
+            [mode, seg, lo, hi, region]
+            for slots, mode, segs, region in (
+                (shard.src_slots, MODE_READ, (SEG_FIELDS,), REGION_INTERIOR),
+                (shard.targets, MODE_WRITE, (SEG_ACCEL, SEG_PHI), REGION_ALL),
+            )
+            for lo, hi in _slot_ranges(slots)
+            for seg in segs
+        ]
+        return np.array(rows, dtype=np.int64).reshape(-1, 5)
 
     def _log_phase(self, command: Any) -> None:
         op = command[0]
@@ -520,6 +569,36 @@ class _WorkerState:
             seg["rhs_s"] += time.perf_counter() - t0
         return seg
 
+    def gravity(
+        self, order: int, g_newton: float, threshold: float
+    ) -> Dict[str, float]:
+        """The FMM near field for this rank's target leaves.
+
+        Reads the parent's far field from its shm arena and the source
+        leaves' density from the field arena, evaluates the shard
+        (:func:`repro.gravity.fmm.evaluate_shard`) and writes the owned
+        leaves' accel and phi into shm.  Returns the phase wall times.
+        """
+        ex = self.ex
+        shard = self.shard
+        n, m = ex.n, ex.m
+        far = FarField.on(ex.far_view, shard.n_leaves, shard.n_part)
+        rho = ex.arena_view.reshape(-1, NFIELDS, m, m, m)[
+            shard.src_slots, Field.RHO
+        ][:, self.interior, self.interior, self.interior]
+        mass = rho.reshape(shard.src_slots.size, -1) * shard.src_vol[:, None]
+        phi, acc, seg = evaluate_shard(
+            shard, far, mass, g_newton, order, threshold
+        )
+        t0 = time.perf_counter()
+        count = shard.targets.size
+        ex.accel_view[shard.targets] = acc.transpose(0, 2, 1).reshape(
+            count, 3, n, n, n
+        )
+        ex.phi_view[shard.targets] = phi.reshape(count, n, n, n)
+        seg["l2p_s"] += time.perf_counter() - t0
+        return seg
+
     def reflux(self) -> int:
         """Flux corrections for owned leaves, reading all leaves' faces.
 
@@ -583,9 +662,24 @@ class _WorkerState:
             return self.update(command[1], command[2], command[3])
         if op == "finish":
             return self.finish()
+        if op == "gravity":
+            return self.gravity(command[1], command[2], command[3])
+        if op == "gplan":
+            return self.gplan(command[1])
         if op == "replan":
             return self.replan(command[1])
         raise ValueError(f"unknown command {op!r}")
+
+
+def _slot_ranges(slots: np.ndarray) -> List[Tuple[int, int]]:
+    """Maximal ``[lo, hi)`` runs of a set of leaf slots."""
+    slots = np.unique(slots)
+    if not slots.size:
+        return []
+    breaks = np.flatnonzero(np.diff(slots) != 1) + 1
+    starts = np.concatenate([[0], breaks])
+    stops = np.concatenate([breaks, [slots.size]])
+    return [(int(slots[a]), int(slots[b - 1]) + 1) for a, b in zip(starts, stops)]
 
 
 def _make_handler(executor: "ProcessHydroExecutor"):
@@ -653,6 +747,14 @@ class ProcessHydroExecutor:
         #: *before* verification and forking — the seeded-race tests
         #: inject overlapping scatter indices here.
         self.bundle_plan_hook = None
+        #: Same hook for the near-field shards (called with the list).
+        self.shard_hook = None
+        #: The FMM solver whose near field runs in the worker rounds (set
+        #: by the first :meth:`step` given an FMM callback), the
+        #: per-rank shards cut from its plan, and that plan.
+        self.fmm = None
+        self.fmm_shards: Optional[List[FmmShard]] = None
+        self._shard_source = None
 
         self.n = mesh.n
         self.ghost = mesh.ghost
@@ -666,9 +768,13 @@ class ProcessHydroExecutor:
 
         self.arena: Optional[ShmArena] = None
         self.accel_arena: Optional[ShmArena] = None
+        self.phi_arena: Optional[ShmArena] = None
+        self.far_arena: Optional[ShmArena] = None
         self.flux_arena: Optional[ShmArena] = None
         self.arena_view: Optional[np.ndarray] = None
         self.accel_view: Optional[np.ndarray] = None
+        self.phi_view: Optional[np.ndarray] = None
+        self.far_view: Optional[np.ndarray] = None
         self.flux_view: Optional[np.ndarray] = None
         self.bundle_plan: Optional[GhostBundlePlan] = None
         self.leaf_keys: List[NodeKey] = []
@@ -838,6 +944,12 @@ class ProcessHydroExecutor:
 
         self.accel_arena = ShmArena(cap * 3 * n**3 * 8)
         self.accel_view = self.accel_arena.ndarray((len(leaves), 3, n, n, n))
+        # Gravity: phi per leaf, and the parent's far field (expansions
+        # and octant moments, at most FAR_FLOATS_PER_LEAF per leaf).
+        self.phi_arena = ShmArena(cap * n**3 * 8)
+        self.phi_view = self.phi_arena.ndarray((len(leaves), n, n, n))
+        self.far_arena = ShmArena(cap * FAR_FLOATS_PER_LEAF * 8)
+        self.far_view = self.far_arena.ndarray((cap * FAR_FLOATS_PER_LEAF,))
         self.flux_arena = ShmArena(cap * 6 * NFIELDS * n**2 * 8)
         self.flux_view = self.flux_arena.ndarray(
             (len(leaves), 3, 2, NFIELDS, n, n)
@@ -860,6 +972,7 @@ class ProcessHydroExecutor:
             self.race_detector = ShmRaceDetector(
                 self.event_log, ordered_phases=edges
             )
+        self._cut_shards()
 
         # Fork *after* every arena and plan exists: children inherit it all.
         self.engine = ParallelEngine(self.engine.nprocs, timeout=self.engine.timeout)
@@ -897,6 +1010,7 @@ class ProcessHydroExecutor:
         adopt_arena(mesh, out=self.arena_view)
         self._views = [nodes[k].subgrid.data for k in self.leaf_keys]
         self.accel_view = self.accel_arena.ndarray((len(leaves), 3, n, n, n))
+        self.phi_view = self.phi_arena.ndarray((len(leaves), n, n, n))
         self.flux_view = self.flux_arena.ndarray(
             (len(leaves), 3, 2, NFIELDS, n, n)
         )
@@ -906,6 +1020,7 @@ class ProcessHydroExecutor:
         if self.verify_plans:
             require_verified(verify_process_plan(self))
             self._split_verified = True
+        self._cut_shards()
 
         plan = self.bundle_plan
         common = {
@@ -920,7 +1035,8 @@ class ProcessHydroExecutor:
                 if pair[1] == rank or pair[0] == rank
             }
             payload = dict(
-                common, run_xy=self.run_xy[rank], bundles=bundles
+                common, run_xy=self.run_xy[rank], bundles=bundles,
+                fmm_shard=self._wire_shard(rank),
             )
             self.engine.send(rank, ("replan", payload))
         self.engine.gather()
@@ -945,7 +1061,10 @@ class ProcessHydroExecutor:
                 node.subgrid.data = view.copy()
         self._views = []
         self.leaf_keys = []
-        for arena in (self.arena, self.accel_arena, self.flux_arena):
+        for arena in (
+            self.arena, self.accel_arena, self.phi_arena, self.far_arena,
+            self.flux_arena,
+        ):
             if arena is not None:
                 arena.unlink()
         if self.event_log is not None:
@@ -953,7 +1072,11 @@ class ProcessHydroExecutor:
         self.event_log = None
         self.race_detector = None
         self.arena = self.accel_arena = self.flux_arena = None
+        self.phi_arena = self.far_arena = None
         self.arena_view = self.accel_view = self.flux_view = None
+        self.phi_view = self.far_view = None
+        self.fmm_shards = None
+        self._shard_source = None
         self._fingerprint = ""
         self.capacity_slots = 0
 
@@ -970,9 +1093,96 @@ class ProcessHydroExecutor:
             pass
 
     # -- gravity --------------------------------------------------------------
+    def _use_solver(self, solver) -> None:  # noqa: ANN001 - FmmSolver
+        """Run ``solver``'s near field in the worker rounds from now on."""
+        abackend = solver._abackend
+        if abackend is not None and abackend.module is not np:
+            raise ValueError(
+                "the process backend evaluates gravity on host ndarrays in "
+                f"shm; it cannot be combined with array backend "
+                f"{solver.array_backend!r}"
+            )
+        self.fmm = solver
+        self._shard_source = None
+
+    def _cut_shards(self) -> None:
+        """Cut the FMM plan of the current topology into per-rank shards
+        by leaf owner and verify them (no-op without an FMM solver)."""
+        if self.fmm is None:
+            self.fmm_shards = None
+            self._shard_source = None
+            return
+        plan = self.fmm.plan_for(self.mesh)
+        if plan.leaf_keys != self.leaf_keys:
+            raise RuntimeError("FMM plan and shm arena disagree on leaf order")
+        owner = np.empty(len(self.leaf_keys), dtype=np.intp)
+        for rank, rank_runs in enumerate(self.runs):
+            for lo, hi, _ in rank_runs:
+                owner[lo:hi] = rank
+        shards = shard_plan(plan, owner, self.nprocs)
+        if self.shard_hook is not None:
+            self.shard_hook(shards)
+        if self.verify_plans:
+            require_verified(verify_fmm_shards(plan, shards, owner))
+        self.fmm_shards = shards
+        self._shard_source = plan
+
+    def _wire_shard(self, rank: int) -> Optional[FmmShard]:
+        shards = self.fmm_shards
+        return shards[rank].without_templates() if shards else None
+
+    def _ensure_shards(self, plan) -> None:  # noqa: ANN001 - FmmPlan
+        """Deliver fresh shards when the FMM plan moved without a topology
+        change (the regrid paths cut them in :meth:`ensure`)."""
+        if plan is self._shard_source:
+            return
+        self._cut_shards()
+        for rank in range(self.nprocs):
+            self.engine.send(rank, ("gplan", self._wire_shard(rank)))
+        self.engine.gather()
+        self.engine.rounds += 1
+        if self.engine.round_observer is not None:
+            self.engine.round_observer()
+
+    @declare_effects(writes=[("far", ANY, "shm")])
+    def far_buffer(self, size: int) -> np.ndarray:
+        """The shm buffer the parent writes the FMM far field into
+        (between barriers; the next gravity round reads it)."""
+        return self.far_view[:size]
+
+    @declare_effects(writes=[("accel", ANY, "shm"), ("phi", ANY, "shm")])
+    def near_field(self, solver, plan):  # noqa: ANN001, ANN201
+        """One gravity round: every worker evaluates its shard and writes
+        its owned leaves' accel and phi into shm.
+
+        Returns the slowest rank's phase times and per-leaf ``phi`` /
+        ``accel`` views of the arenas (plan leaf order) — the parent's
+        conservation projections then adjust accel in place, between
+        barriers.
+        """
+        self._ensure_shards(plan)
+        segs = self.engine.round(
+            ("gravity", solver.order, solver.g_newton,
+             solver.empty_mass_threshold)
+        )
+        slowest = max(segs, key=lambda seg: sum(seg.values()))
+        phi = {key: self.phi_view[i] for i, key in enumerate(self.leaf_keys)}
+        accel = {
+            key: self.accel_view[i] for i, key in enumerate(self.leaf_keys)
+        }
+        return slowest, phi, accel
+
+    def _gravity(self, gravity) -> None:  # noqa: ANN001 - GravityCallback
+        """Fill the accel arena: FMM callbacks in the worker rounds, any
+        other callback through the parent."""
+        if self.fmm is not None and getattr(gravity, "fmm_solver", None) is self.fmm:
+            self.fmm.solve(self.mesh, pool=self)
+        else:
+            self._write_accel(gravity(self.mesh))
+
     @declare_effects(writes=[("accel", ANY, "shm")])
     def _write_accel(self, accel_map: Dict[NodeKey, np.ndarray]) -> None:
-        """Stage the gravity callback's output into the shm accel arena.
+        """Stage a gravity callback's output into the shm accel arena.
 
         Parent-side, between barriers: every worker is parked when this
         runs, so the write is ordered against both the previous and the
@@ -1070,10 +1280,16 @@ class ProcessHydroExecutor:
     ) -> Dict[NodeKey, float]:
         """One RK3 step across the worker pool; returns per-leaf signals.
 
-        The parent solves gravity (when given) and restricts at the end —
-        both read/write the shm arena directly, so the workers never see a
-        stale field.
+        Gravity (when given) runs before ``begin`` — or, with
+        ``gravity_every_stage``, again between each later stage's ghost and
+        rhs rounds.  An FMM callback's near field is a worker round of its
+        own (:meth:`near_field`); the parent restricts at the end.  All of
+        it reads/writes the shm arenas directly, so the workers never see
+        a stale field.
         """
+        solver = getattr(gravity, "fmm_solver", None)
+        if solver is not None and solver is not self.fmm:
+            self._use_solver(solver)
         self.ensure()
         engine = self.engine
         self.payload_messages = 0
@@ -1083,7 +1299,7 @@ class ProcessHydroExecutor:
 
         use_accel = gravity is not None
         if use_accel:
-            self._write_accel(gravity(self.mesh))
+            self._gravity(gravity)
         collect_fluxes = (
             self.reflux and self.bundle_plan is not None
             and any(b.fine_dst.size for b in self.bundle_plan.bundles.values())
@@ -1111,8 +1327,8 @@ class ProcessHydroExecutor:
             self.exchange_wait_s += time.perf_counter() - t0
             if rewrite_accel:
                 # Workers are between rounds (idle at the barrier), so the
-                # parent may rewrite the accel arena they read next round.
-                self._write_accel(gravity(self.mesh))
+                # accel arena they read next round may be rewritten.
+                self._gravity(gravity)
             t0 = time.perf_counter()
             # BSP ablation baseline (and the per-stage accel-rewrite path):
             # the barrier schedule is the comparison point for the overlap

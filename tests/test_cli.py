@@ -64,3 +64,28 @@ class TestRun:
 
         mesh, meta = load_checkpoint(tmp_path / "state.npz")
         assert meta["step"] == 1
+
+
+class TestRunBoundaries:
+    """Bad ``run`` arguments fail at the parser with a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--steps", "-1"],
+            ["run", "--level", "0"],
+            ["run", "--array-backend", "pyjit", "--backend", "process"],
+        ],
+    )
+    def test_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_backend_help_describes_one_pool(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "far-field M2L" not in out
+        assert "FMM near field in one pool" in out

@@ -196,3 +196,60 @@ class TestDriver:
         record = sim.step(dt=1e-4)
         assert record.dt == 1e-4
         assert sim.gravity_solver is None
+
+
+class TestStepModelMemo:
+    """The distsim step model runs once per topology, not once per step."""
+
+    def _sim(self, **kw):
+        mesh = make_uniform_mesh(1)
+        fill_gaussian(mesh)
+        return OctoTigerSim(mesh, gravity=False, nodes=2, **kw)
+
+    @staticmethod
+    def _count_runs(monkeypatch):
+        from repro.distsim.taskgraph import TaskGraphSimulator
+
+        calls = []
+        original = TaskGraphSimulator.run_step
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TaskGraphSimulator, "run_step", counted)
+        return calls
+
+    def test_records_identical_with_and_without_memo(self, monkeypatch):
+        calls = self._count_runs(monkeypatch)
+        memo, fresh = self._sim(), self._sim()
+        for _ in range(3):
+            memo.step(dt=1e-4)
+            fresh._timing = None  # no memo: rerun the simulator every step
+            fresh.step(dt=1e-4)
+        assert memo.records == fresh.records
+        a = memo.counters.get("virtual.step_seconds")
+        b = fresh.counters.get("virtual.step_seconds")
+        assert (a.count, a.total, a.minimum, a.maximum) == (
+            b.count, b.total, b.minimum, b.maximum
+        )
+        assert len(calls) == 1 + 3
+
+    def test_topology_change_recomputes(self, monkeypatch):
+        calls = self._count_runs(monkeypatch)
+        sim = self._sim()
+        sim.step(dt=1e-4)
+        sim.mesh.refine(sorted(sim.mesh.leaf_keys())[0])
+        sim.invalidate_workload()
+        sim.step(dt=1e-4)
+        sim.step(dt=1e-4)
+        assert len(calls) == 2
+
+    def test_faults_always_rerun(self, monkeypatch):
+        from repro.resilience.faults import FaultSpec
+
+        calls = self._count_runs(monkeypatch)
+        sim = self._sim(faults=FaultSpec.parse("drop=0.0,seed=1"))
+        sim.step(dt=1e-4)
+        sim.step(dt=1e-4)
+        assert len(calls) == 2

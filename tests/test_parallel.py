@@ -62,6 +62,41 @@ def _echo_factory(rank, registry):
     return handler
 
 
+def _blas_threads_factory(rank, registry):
+    def handler(command):
+        import ctypes
+
+        with open("/proc/self/maps") as fh:
+            paths = sorted({
+                line.split()[-1] for line in fh
+                if "blas" in line.lower() and ".so" in line
+            })
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for name in ("scipy_openblas_get_num_threads64_",
+                         "scipy_openblas_get_num_threads",
+                         "openblas_get_num_threads64_",
+                         "openblas_get_num_threads"):
+                getter = getattr(lib, name, None)
+                if getter is not None:
+                    getter.restype = ctypes.c_int
+                    return getter()
+        return None
+
+    return handler
+
+
+def test_workers_run_single_threaded_blas():
+    """Each worker is one core: its BLAS must not spawn threads of its
+    own (nested threads oversubscribe the cores and stall the GEMMs)."""
+    with ParallelEngine(2) as engine:
+        engine.start(_blas_threads_factory)
+        counts = engine.round("threads")
+    if counts[0] is None:
+        pytest.skip("no OpenBLAS thread-count getter in this numpy build")
+    assert counts == [1, 1]
+
+
 class TestEngineValidation:
     """Satellite 1: typed rejection, mirroring Engine.post's NaN guard."""
 
@@ -310,22 +345,23 @@ class TestBackendEquivalence:
         assert messages > 0
         assert payload_bytes > 0
 
-    def test_fmm_process_backend_bit_identical(self):
+    @pytest.mark.parametrize("nprocs", [2, 3])
+    def test_fmm_sharded_gravity_bit_identical(self, nprocs):
+        """The executor's gravity round (near field sharded by leaf owner,
+        accel/phi written into shm) reproduces the serial solve."""
         from repro.gravity.fmm import FmmSolver
 
-        mesh, _ = make_state_mesh(levels=1, refine_keys=(2,))
-        des = FmmSolver(empty_mass_threshold=1e-12)
-        par = FmmSolver(
-            empty_mass_threshold=1e-12, backend="process", nprocs=2
-        )
-        try:
-            r_des = des.solve(mesh)
-            r_par = par.solve(mesh)
-        finally:
-            par.close()
-        for key in r_des.accel:
-            assert np.array_equal(r_des.accel[key], r_par.accel[key])
-            assert np.array_equal(r_des.phi[key], r_par.phi[key])
+        mesh, eos = make_state_mesh(levels=1, refine_keys=(2,))
+        ref = FmmSolver(empty_mass_threshold=1e-12).solve(mesh)
+        solver = FmmSolver(empty_mass_threshold=1e-12)
+        with ProcessHydroExecutor(mesh, eos=eos, nprocs=nprocs) as ex:
+            ex._use_solver(solver)
+            ex.ensure()
+            res = solver.solve(mesh, pool=ex)
+            assert res.stats.near_pairs > 0
+            for key in ref.accel:
+                assert np.array_equal(ref.accel[key], res.accel[key])
+                assert np.array_equal(ref.phi[key], res.phi[key])
 
     def test_timers_aggregated_into_registry(self):
         mesh, eos = make_state_mesh(levels=1)
@@ -424,12 +460,9 @@ class TestDistributedDriverBackend:
 
     def test_invalid_backend_rejected(self):
         from repro.core.distributed import DistributedHydroDriver
-        from repro.gravity.fmm import FmmSolver
 
         mesh, eos = make_state_mesh(levels=0)
         with pytest.raises(ValueError, match="backend"):
             DistributedHydroDriver(mesh, eos=eos, backend="threads")
         with pytest.raises(ValueError, match="backend"):
             HydroIntegrator(mesh, eos, backend="threads")
-        with pytest.raises(ValueError, match="backend"):
-            FmmSolver(backend="threads")
